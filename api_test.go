@@ -116,6 +116,38 @@ func TestResultAccessors(t *testing.T) {
 	}
 }
 
+// TestResultLenAndFirstNodes: Len is the full cardinality and FirstNodes is
+// the document-order prefix of Nodes, on node sets spanning several bitset
+// words; scalars report 0 and nil.
+func TestResultLenAndFirstNodes(t *testing.T) {
+	doc, _ := ParseDocumentString("<a>" + strings.Repeat("<b/><c/>", 100) + "</a>")
+	num, _ := MustCompile(`count(//b)`).Evaluate(doc)
+	if num.Len() != 0 || num.FirstNodes(5) != nil {
+		t.Errorf("scalar: Len %d, FirstNodes %v", num.Len(), num.FirstNodes(5))
+	}
+	for _, src := range []string{`//b`, `//*`, `//e`, `/child::a`} {
+		res, err := MustCompile(src).Evaluate(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := res.Nodes()
+		if res.Len() != len(all) {
+			t.Errorf("%s: Len %d, len(Nodes) %d", src, res.Len(), len(all))
+		}
+		for _, limit := range []int{-1, 0, 1, 63, 64, 65, 150, len(all), len(all) + 10} {
+			first := res.FirstNodes(limit)
+			if want := min(max(limit, 0), len(all)); len(first) != want {
+				t.Fatalf("%s: FirstNodes(%d) has %d nodes, want %d", src, limit, len(first), want)
+			}
+			for i, n := range first {
+				if n.Pre() != all[i].Pre() {
+					t.Fatalf("%s: FirstNodes(%d)[%d] = pre %d, want %d", src, limit, i, n.Pre(), all[i].Pre())
+				}
+			}
+		}
+	}
+}
+
 func TestNodeNavigation(t *testing.T) {
 	doc, _ := ParseDocumentString(`<a id="r"><b id="x">hi</b></a>`)
 	root := doc.Root()

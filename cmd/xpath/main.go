@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		engineName = flag.String("engine", "auto", "evaluation engine: auto|optmincontext|mincontext|topdown|bottomup|corexpath|naive|compiled")
+		engineName = flag.String("engine", "auto", "evaluation engine: auto (compiled)|optmincontext|mincontext|topdown|bottomup|corexpath|naive|compiled")
 		file       = flag.String("file", "", "XML document (default: stdin)")
 		contextID  = flag.String("context", "", "id attribute of the context node (default: document root)")
 		stats      = flag.Bool("stats", false, "print evaluation statistics")
@@ -167,7 +167,7 @@ func runBatch(querySrc, engineName, storePath, saveStore string, workers int, st
 			continue
 		}
 		if dr.Result.IsNodeSet() {
-			fmt.Printf("%-20s %d node(s)\n", dr.ID, len(dr.Result.Nodes()))
+			fmt.Printf("%-20s %d node(s)\n", dr.ID, dr.Result.Len())
 		} else {
 			fmt.Printf("%-20s %s\n", dr.ID, dr.Result.Text())
 		}

@@ -45,9 +45,9 @@ func main() {
 		workers   = flag.Int("workers", 1, "admission worker pool size")
 		queue     = flag.Int("queue", 0, "admission queue depth (0: 2×workers); a full queue answers 429")
 		timeout   = flag.Duration("timeout", 10*time.Second, "per-request timeout (queue wait + evaluation); expiry cancels the evaluation")
-		maxSteps  = flag.Int64("maxsteps", 0, "per-evaluation step fuel (0: unlimited); exhaustion answers 422")
+		maxSteps  = flag.Int64("maxsteps", 0, "per-evaluation step fuel (0: unlimited); exhaustion answers 422. On the compiled engine a step is one VM block entry: the main block once, each predicate block once per candidate")
 		maxCard   = flag.Int("maxcard", 0, "per-evaluation result-cardinality cap (0: unlimited); exceeding answers 422")
-		engName   = flag.String("engine", "auto", "default evaluation engine for requests that name none")
+		engName   = flag.String("engine", "auto", "default evaluation engine for requests that name none (auto: compiled)")
 		drainWait = flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
 	)
 	flag.Parse()

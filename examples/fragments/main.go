@@ -54,12 +54,12 @@ func main() {
 		for _, n := range []int{200, 400, 800} {
 			doc := xpath.WrapTree(workload.Scaled(n))
 			start := time.Now()
-			res, err := q.Evaluate(doc)
+			res, err := q.EvaluateWith(doc, xpath.Options{Engine: xpath.EngineOptMinContext})
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("    |D|=%-5d %8s  (%d result nodes, %d table cells)\n",
-				n, time.Since(start).Round(time.Microsecond), len(res.Nodes()), res.Stats().TableCells)
+				n, time.Since(start).Round(time.Microsecond), res.Len(), res.Stats().TableCells)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func (q *Query) ExplainAnalyze(doc *Document) (string, error) {
 	fmt.Fprintf(&b, "engine:     %s\n", EngineCompiled)
 	fmt.Fprintf(&b, "total:      %s", fmtNs(rec.TotalNs(trace.KindEval)))
 	if res.IsNodeSet() {
-		fmt.Fprintf(&b, "  (%d node(s))", len(res.v.Set.Nodes()))
+		fmt.Fprintf(&b, "  (%d node(s))", res.Len())
 	}
 	b.WriteByte('\n')
 	b.WriteString(p.DisasmAnnotated(func(block, pc int) string {

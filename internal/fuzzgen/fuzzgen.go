@@ -16,6 +16,7 @@ package fuzzgen
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 
@@ -325,6 +326,41 @@ func Pair(seed int64, cfg Config, docSize int) (string, *xmltree.Document) {
 	q := Query(rng, cfg)
 	return q, Document(rng, docSize)
 }
+
+// PairFromBytes derives a (query, document) pair from fuzz input for
+// coverage-guided fuzzing: every random draw of the generators consumes the
+// next input byte, so one mutated byte changes one generator decision. Once
+// the input is exhausted the draws continue from a PRNG seeded by a hash
+// of the input (a constant fill would pin some generator loops forever).
+// The first draw picks the document size in [1, maxDocSize]; the query is
+// drawn before the document.
+func PairFromBytes(data []byte, cfg Config, maxDocSize int) (string, *xmltree.Document) {
+	h := fnv.New64a()
+	h.Write(data)
+	rng := rand.New(&byteSource{data: data, rest: rand.NewSource(int64(h.Sum64()))})
+	size := 1 + rng.Intn(maxDocSize)
+	q := Query(rng, cfg)
+	return q, Document(rng, size)
+}
+
+// byteSource is a rand.Source that replays input bytes, then rest: each
+// Int63 call consumes one byte and repeats it across the word, so bounded
+// draws such as Intn(n) spread the byte's 256 values over [0, n).
+type byteSource struct {
+	data []byte
+	rest rand.Source
+}
+
+func (s *byteSource) Int63() int64 {
+	if len(s.data) == 0 {
+		return s.rest.Int63()
+	}
+	b := s.data[0]
+	s.data = s.data[1:]
+	return int64(uint64(b) * 0x0101010101010101 >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
 
 // VersionedDocument derives version v of a mutating document from one
 // seed: the same (seed, n, v) always yields an identical tree, and every

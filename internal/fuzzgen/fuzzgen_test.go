@@ -1,6 +1,7 @@
 package fuzzgen
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -116,6 +117,33 @@ func TestAxisChainQueriesCompileAndCoverAxes(t *testing.T) {
 	for _, a := range axespkg.All() {
 		if seen[a] == 0 {
 			t.Errorf("axis %v never generated across %d chains", a, n)
+		}
+	}
+}
+
+// TestPairFromBytes: byte-driven pairs are deterministic in their input,
+// always compile, respect the size bound, and terminate on empty input and
+// on input that steers a generator loop to repeat.
+func TestPairFromBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, rng.Intn(200))
+		rng.Read(data)
+		q1, d1 := PairFromBytes(data, Config{}, 40)
+		q2, d2 := PairFromBytes(data, Config{}, 40)
+		if q1 != q2 || d1.XMLString() != d2.XMLString() {
+			t.Fatalf("input %x: pairs differ", data)
+		}
+		if _, err := syntax.Compile(q1); err != nil {
+			t.Fatalf("input %x: generated query does not compile: %q: %v", data, q1, err)
+		}
+		if n := d1.Size(); n < 1 || n > 40 {
+			t.Fatalf("input %x: document has %d elements, want within [1, 40]", data, n)
+		}
+	}
+	for _, data := range [][]byte{nil, make([]byte, 64), bytes.Repeat([]byte{0xff}, 64)} {
+		if q, d := PairFromBytes(data, Config{}, 40); q == "" || d.Size() < 1 {
+			t.Fatalf("input %x: query %q, %d elements", data, q, d.Size())
 		}
 	}
 }

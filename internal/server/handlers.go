@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	xpath "repro"
 	"repro/internal/metrics"
@@ -151,11 +152,21 @@ type QueryResponse struct {
 const maxNodeValueLen = 120
 
 func nodeJSON(n *xpath.Node) NodeJSON {
-	v := n.StringValue()
-	if len(v) > maxNodeValueLen {
-		v = v[:maxNodeValueLen-3] + "..."
+	return NodeJSON{Pre: n.Pre(), Label: n.Label(), Value: truncateValue(n.StringValue())}
+}
+
+// truncateValue shortens a string-value longer than maxNodeValueLen bytes
+// to at most that many, ending in "...". The cut backs up to a rune
+// boundary, so a multi-byte character is never split into invalid UTF-8.
+func truncateValue(v string) string {
+	if len(v) <= maxNodeValueLen {
+		return v
 	}
-	return NodeJSON{Pre: n.Pre(), Label: n.Label(), Value: v}
+	cut := maxNodeValueLen - 3
+	for i := 0; i < utf8.UTFMax-1 && !utf8.RuneStart(v[cut]); i++ {
+		cut--
+	}
+	return v[:cut] + "..."
 }
 
 // resultKind names a result's XPath type for the wire.
@@ -258,12 +269,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if res.IsNodeSet() {
-		nodes := res.Nodes()
-		resp.Count = len(nodes)
-		mResultCard.Observe(int64(len(nodes)))
-		if len(nodes) > limit {
-			nodes = nodes[:limit]
-		}
+		resp.Count = res.Len()
+		mResultCard.Observe(int64(resp.Count))
+		nodes := res.FirstNodes(limit)
 		resp.Nodes = make([]NodeJSON, len(nodes))
 		for i, n := range nodes {
 			resp.Nodes[i] = nodeJSON(n)
@@ -274,7 +282,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if rec != nil {
 		resp.Trace = xpath.RenderTrace(rec.Rows())
 	}
-	writeJSON(w, resp)
+	writeAppended(w, resp.appendJSON)
 }
 
 // BatchRequest is the body of POST /batch.
@@ -381,7 +389,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			dj.Error = dr.Err.Error()
 		case dr.Result.IsNodeSet():
 			dj.Kind = "node-set"
-			dj.Count = len(dr.Result.Nodes())
+			dj.Count = dr.Result.Len()
 		default:
 			dj.Kind = "scalar"
 			dj.Value = dr.Result.Text()
@@ -391,7 +399,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if rec != nil {
 		resp.Trace = xpath.RenderTrace(rec.Rows())
 	}
-	writeJSON(w, resp)
+	writeAppended(w, resp.appendJSON)
 }
 
 // handleExplain serves GET /explain?q=<xpath>[&id=<doc>]: the static

@@ -54,12 +54,14 @@ func TestTimeoutFreesWorkerSlot(t *testing.T) {
 // TestBudgetStatuses pins the 422 mapping for server-policy budget trips:
 // step-fuel exhaustion and result-cardinality overflow are well-formed but
 // too expensive, distinct from 400 (bad request) and 504 (out of time).
+// The max-steps query enters a per-candidate predicate block, because the
+// default (compiled) engine charges one step per VM block entry.
 func TestBudgetStatuses(t *testing.T) {
 	t.Run("max steps", func(t *testing.T) {
 		s := newTestServer(t, Config{MaxSteps: 5})
 		var e errorBody
 		w := do(t, s, http.MethodPost, "/query",
-			QueryRequest{ID: "s20", Query: "/descendant-or-self::*[child::*]/child::*"}, &e)
+			QueryRequest{ID: "s20", Query: "/descendant::*[position() > last()*0.5 or self::* = 100]"}, &e)
 		if w.Code != http.StatusUnprocessableEntity {
 			t.Fatalf("status = %d, want 422 (body %s)", w.Code, w.Body.String())
 		}

@@ -217,9 +217,13 @@ func TestResultCardinalityCap(t *testing.T) {
 
 // TestBudgetReuseStaysTripped documents the single-evaluation contract: a
 // budget that tripped once rejects every later evaluation immediately.
+//
+// The query enters a per-candidate predicate block: on the default
+// (compiled) engine a step of fuel is one VM block entry, so a
+// predicate-free path would cost a single step and never trip.
 func TestBudgetReuseStaysTripped(t *testing.T) {
 	doc := WrapTree(workload.Scaled(30))
-	q := MustCompile(`//b`)
+	q := MustCompile(`/descendant::*[position() > last()*0.5 or self::* = 100]`)
 	bud := NewBudget(BudgetLimits{Steps: 1})
 	if _, err := q.EvaluateWith(doc, Options{Budget: bud}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("first evaluation: err = %v, want ErrBudgetExceeded", err)

@@ -5,17 +5,19 @@
 //
 // Seven interchangeable evaluation engines are provided:
 //
-//	OptMinContext  — Algorithm 8 (the paper's recommended processor; default)
+//	OptMinContext  — Algorithm 8 (the paper's recommended processor)
 //	MinContext     — Algorithm 6, Theorem 7 bounds
 //	TopDown        — the E↓ semantics of Definition 2 ([11])
 //	BottomUp       — the strict context-value-table E↑ ([11])
 //	CoreXPath      — linear-time engine for the Core XPath fragment
 //	Naive          — the exponential-time strategy of pre-2002 processors
-//	Compiled       — whole-query compilation to a register VM (internal/plan)
+//	Compiled       — whole-query compilation to a register VM (internal/plan; default)
 //
 // All engines implement the same semantics (XPath 1.0, minus the attribute
 // and namespace axes the paper's data model excludes) and can be compared
 // on any query; see EXPERIMENTS.md for the reproduced complexity behavior.
+// The compiled engine is the production path; the paper's algorithms are
+// the reproduction and the differential oracles it is held to.
 //
 // # Quick start
 //
@@ -31,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/bottomup"
 	"repro/internal/budget"
@@ -51,9 +54,10 @@ import (
 // Engine selects one of the evaluation algorithms.
 type Engine int
 
-// The available engines. EngineAuto uses OPTMINCONTEXT, the paper's
-// combined processor, which adheres to the best known bound for whatever
-// fragment each subexpression falls into.
+// The available engines. EngineAuto, the zero value, is the production
+// default and uses EngineCompiled. Callers that mean the paper's combined
+// processor, which adheres to the best known bound for whatever fragment
+// each subexpression falls into, name EngineOptMinContext.
 const (
 	EngineAuto Engine = iota
 	EngineOptMinContext
@@ -128,7 +132,7 @@ var compiledEngine = plan.New()
 
 func (e Engine) impl() engine.Engine {
 	switch e {
-	case EngineAuto, EngineOptMinContext:
+	case EngineOptMinContext:
 		return core.NewOptMinContext()
 	case EngineMinContext:
 		return core.NewMinContext()
@@ -140,7 +144,7 @@ func (e Engine) impl() engine.Engine {
 		return corexpath.New()
 	case EngineNaive:
 		return naive.New()
-	case EngineCompiled:
+	case EngineAuto, EngineCompiled:
 		return compiledEngine
 	}
 	panic("xpath: unknown engine")
@@ -423,7 +427,7 @@ func (q *Query) Internal() *syntax.Query { return q.q }
 
 // Options configures one evaluation.
 type Options struct {
-	// Engine selects the evaluation algorithm (default: OPTMINCONTEXT).
+	// Engine selects the evaluation algorithm (default: EngineCompiled).
 	Engine Engine
 	// ContextNode evaluates relative to this node (default: document root).
 	ContextNode *Node
@@ -605,16 +609,43 @@ func toStats(st engine.Stats) Stats {
 // IsNodeSet reports whether the result is a node set.
 func (r *Result) IsNodeSet() bool { return r.v.T == values.KindNodeSet }
 
+// Len returns the cardinality of a node-set result in O(1), without
+// materializing any node (0 for scalar results).
+func (r *Result) Len() int {
+	if r.v.T != values.KindNodeSet {
+		return 0
+	}
+	return r.v.Set.Len()
+}
+
 // Nodes returns the resulting node set in document order (nil for scalar
 // results).
-func (r *Result) Nodes() []*Node {
+func (r *Result) Nodes() []*Node { return r.FirstNodes(r.Len()) }
+
+// FirstNodes returns the first limit nodes of the result set in document
+// order, or all of them when the set is smaller (nil for scalar results).
+// It reads only those nodes off the result set, and its two allocations
+// do not depend on the count: the wrappers share one backing array.
+func (r *Result) FirstNodes(limit int) []*Node {
 	if r.v.T != values.KindNodeSet {
 		return nil
 	}
-	raw := r.v.Set.Nodes()
-	out := make([]*Node, len(raw))
-	for i, n := range raw {
-		out[i] = wrapNode(n)
+	n := min(max(limit, 0), r.v.Set.Len())
+	slab := make([]Node, n)
+	out := make([]*Node, n)
+	if n == 0 {
+		return out
+	}
+	doc := r.v.Set.Document()
+	i := 0
+	for w, word := range r.v.Set.Words() {
+		for ; word != 0; word &= word - 1 {
+			slab[i].n = doc.Node(w*64 + bits.TrailingZeros64(word))
+			out[i] = &slab[i]
+			if i++; i == n {
+				return out
+			}
+		}
 	}
 	return out
 }
