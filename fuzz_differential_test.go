@@ -48,7 +48,7 @@ func TestDifferentialFuzz(t *testing.T) {
 			tree := fuzzgen.Document(rng, size)
 			doc = WrapTree(tree)
 			ids = ids[:0]
-			for _, n := range tree.Nodes() {
+			for _, n := range tree.AllNodes().Nodes() {
 				if id, ok := n.Attr("id"); ok {
 					ids = append(ids, id)
 				}
@@ -81,7 +81,7 @@ func TestDifferentialFuzzAxisChains(t *testing.T) {
 			tree := fuzzgen.Document(rng, 20+rng.Intn(40))
 			doc = WrapTree(tree)
 			ids = ids[:0]
-			for _, n := range tree.Nodes() {
+			for _, n := range tree.AllNodes().Nodes() {
 				if id, ok := n.Attr("id"); ok {
 					ids = append(ids, id)
 				}

@@ -167,7 +167,7 @@ func TestQuickApplyMatchesRelated(t *testing.T) {
 			}
 			got := Apply(a, x)
 			want := xmltree.NewSet(d)
-			for _, y := range d.Nodes() {
+			for _, y := range d.AllNodes().Nodes() {
 				found := false
 				x.ForEach(func(xn *xmltree.Node) {
 					if !found && Related(a, xn, y) {
@@ -197,9 +197,9 @@ func TestQuickInverseSymmetry(t *testing.T) {
 			if a == ID {
 				continue
 			}
-			for _, x := range d.Nodes() {
+			for _, x := range d.AllNodes().Nodes() {
 				fwd := Apply(a, xmltree.Singleton(x))
-				for _, y := range d.Nodes() {
+				for _, y := range d.AllNodes().Nodes() {
 					back := ApplyInverse(a, xmltree.Singleton(y))
 					if fwd.Has(y) != back.Has(x) {
 						return false
@@ -224,7 +224,7 @@ func TestQuickNeighborhoodOrder(t *testing.T) {
 			if a == ID {
 				continue
 			}
-			for _, x := range d.Nodes() {
+			for _, x := range d.AllNodes().Nodes() {
 				nb := Neighborhood(a, x, nil)
 				seen := make(map[*xmltree.Node]bool, len(nb))
 				for i, y := range nb {
@@ -242,7 +242,7 @@ func TestQuickNeighborhoodOrder(t *testing.T) {
 						}
 					}
 				}
-				for _, y := range d.Nodes() {
+				for _, y := range d.AllNodes().Nodes() {
 					if Related(a, x, y) && !seen[y] {
 						return false
 					}
@@ -261,7 +261,7 @@ func TestQuickNeighborhoodOrder(t *testing.T) {
 func TestQuickPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDoc(seed, 30)
-		for _, x := range d.Nodes() {
+		for _, x := range d.AllNodes().Nodes() {
 			s := xmltree.Singleton(x)
 			u := Apply(Ancestor, s)
 			u.UnionWith(Apply(Descendant, s))

@@ -236,12 +236,11 @@ func ApplyInto(dst *xmltree.Set, a Axis, x *xmltree.Set, sc *Scratch) {
 		}
 
 	case ID:
-		nodes := doc.Nodes()
 		for wi, w := range words {
 			for w != 0 {
 				pre := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
-				doc.DerefIDsInto(dst, nodes[pre].StringValue())
+				doc.DerefIDsInto(dst, doc.StringValueAt(pre))
 			}
 		}
 
@@ -286,12 +285,9 @@ func ApplyInverseInto(dst *xmltree.Set, a Axis, y *xmltree.Set, sc *Scratch) {
 		return
 	}
 	doc := y.Document()
-	for _, n := range doc.Nodes() {
-		if n.IsRoot() {
-			continue
-		}
-		if doc.DerefIDsIntersect(n.StringValue(), y) {
-			dst.AddPre(n.Pre())
+	for pre := 1; pre < doc.NumNodes(); pre++ {
+		if doc.DerefIDsIntersect(doc.StringValueAt(pre), y) {
+			dst.AddPre(pre)
 		}
 	}
 }

@@ -18,7 +18,10 @@ func Neighborhood(a Axis, x *xmltree.Node, dst []*xmltree.Node) []*xmltree.Node 
 		dst = append(dst, x)
 
 	case Child:
-		dst = append(dst, x.Children()...)
+		doc := x.Document()
+		for _, k := range doc.Topology().Kids(int32(x.Pre())) {
+			dst = append(dst, doc.Node(int(k)))
+		}
 
 	case Parent:
 		if p := x.Parent(); p != nil {
@@ -67,14 +70,22 @@ func Neighborhood(a Axis, x *xmltree.Node, dst []*xmltree.Node) []*xmltree.Node 
 			}
 		}
 
-	case FollowingSibling:
-		dst = append(dst, x.FollowingSiblings()...)
-
-	case PrecedingSibling:
+	case FollowingSibling, PrecedingSibling:
+		if x.IsRoot() {
+			break
+		}
+		doc := x.Document()
+		t := doc.Topology()
+		sibs := t.Kids(t.Parent[x.Pre()])
+		if a == FollowingSibling {
+			for _, k := range sibs[t.SibIdx[x.Pre()]+1:] {
+				dst = append(dst, doc.Node(int(k)))
+			}
+			break
+		}
 		// Reverse document order: nearest sibling first.
-		sibs := x.PrecedingSiblings()
-		for i := len(sibs) - 1; i >= 0; i-- {
-			dst = append(dst, sibs[i])
+		for i := t.SibIdx[x.Pre()] - 1; i >= 0; i-- {
+			dst = append(dst, doc.Node(int(sibs[i])))
 		}
 
 	case ID:

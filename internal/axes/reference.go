@@ -34,7 +34,8 @@ func ApplyReference(a Axis, x *xmltree.Set) *xmltree.Set {
 
 	case Child:
 		// y ∈ child(X) iff parent(y) ∈ X: one scan over dom.
-		for _, n := range doc.Nodes() {
+		for pre := range doc.NumNodes() {
+			n := doc.Node(pre)
 			if p := n.Parent(); p != nil && x.Has(p) {
 				out.Add(n)
 			}
@@ -53,7 +54,8 @@ func ApplyReference(a Axis, x *xmltree.Set) *xmltree.Set {
 		// already been classified when it is reached; memoize per node via
 		// a flags array indexed by pre.
 		marked := make([]bool, doc.NumNodes())
-		for _, n := range doc.Nodes() {
+		for pre := range doc.NumNodes() {
+			n := doc.Node(pre)
 			p := n.Parent()
 			if p != nil && (marked[p.Pre()] || x.Has(p)) {
 				marked[n.Pre()] = true
@@ -69,9 +71,8 @@ func ApplyReference(a Axis, x *xmltree.Set) *xmltree.Set {
 		// contains an X node. Postorder aggregation: scan dom in reverse
 		// preorder; by then every child has been classified.
 		contains := make([]bool, doc.NumNodes())
-		nodes := doc.Nodes()
-		for i := len(nodes) - 1; i >= 0; i-- {
-			n := nodes[i]
+		for i := doc.NumNodes() - 1; i >= 0; i-- {
+			n := doc.Node(i)
 			c := x.Has(n)
 			if !c {
 				for _, k := range n.Children() {
@@ -99,7 +100,8 @@ func ApplyReference(a Axis, x *xmltree.Set) *xmltree.Set {
 				minEnd = n.EndEvent()
 			}
 		})
-		for _, n := range doc.Nodes() {
+		for pre := range doc.NumNodes() {
+			n := doc.Node(pre)
 			if n.StartEvent() > minEnd {
 				out.Add(n)
 			}
@@ -114,7 +116,8 @@ func ApplyReference(a Axis, x *xmltree.Set) *xmltree.Set {
 				maxStart = n.StartEvent()
 			}
 		})
-		for _, n := range doc.Nodes() {
+		for pre := range doc.NumNodes() {
+			n := doc.Node(pre)
 			if n.EndEvent() < maxStart {
 				out.Add(n)
 			}
@@ -181,7 +184,8 @@ func ApplyInverseReference(a Axis, y *xmltree.Set) *xmltree.Set {
 	if y.IsEmpty() {
 		return out
 	}
-	for _, n := range doc.Nodes() {
+	for pre := range doc.NumNodes() {
+		n := doc.Node(pre)
 		if n.IsRoot() {
 			continue
 		}

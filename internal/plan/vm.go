@@ -381,9 +381,9 @@ func (m *machine) scanCmp(in *Instr) *xmltree.Set {
 	out := m.newSet()
 	op := syntax.BinOp(in.A)
 	want := m.prog.Consts[in.B]
-	for _, n := range m.doc.Nodes() {
-		if values.Compare(op, values.String(n.StringValue()), want) {
-			out.Add(n)
+	for pre := range m.doc.NumNodes() {
+		if values.Compare(op, values.String(m.doc.StringValueAt(pre)), want) {
+			out.AddPre(pre)
 		}
 	}
 	return out

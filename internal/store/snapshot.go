@@ -389,13 +389,13 @@ func loadSnapshotV2(br *bufio.Reader) (*Store, uint64, error) {
 		if err := cr.expectCRC(fmt.Sprintf("snapshot document %q", id)); err != nil {
 			return nil, 0, err
 		}
-		doc, consumed, err := xmltree.LoadSnapshotCounted(bytes.NewReader(docBuf.Bytes()), xmltree.DefaultLimits())
+		doc, consumed, err := xmltree.LoadSnapshotBytes(docBuf.Bytes(), xmltree.DefaultLimits())
 		if err != nil {
 			return nil, 0, fmt.Errorf("store: snapshot: %q: %w", id, err)
 		}
 		// XPC2 writers emit exact frames; slack means the frame was not
 		// produced by WriteSnapshot, so reject instead of tolerating.
-		if slack := int64(n) - consumed; slack != 0 {
+		if slack := int64(n) - int64(consumed); slack != 0 {
 			mSnapSlackBytes.Add(slack)
 			return nil, 0, fmt.Errorf("store: snapshot: %q: %d slack bytes in document frame", id, slack)
 		}

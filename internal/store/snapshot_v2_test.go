@@ -280,3 +280,37 @@ func TestStoreReplaceSwapsAtomically(t *testing.T) {
 		t.Fatal("nil document must fail")
 	}
 }
+
+// TestSnapshotCorpusFormatCompat: an XPC2 corpus written before the
+// columnar document layout loads and is rewritten byte for byte.
+func TestSnapshotCorpusFormatCompat(t *testing.T) {
+	want, err := os.ReadFile("testdata/compat.xpc2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := LoadSnapshot(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := s.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("rewritten corpus differs:\n got %x\nwant %x", got.Bytes(), want)
+	}
+	small, ok := s.Get("small.xml")
+	if !ok {
+		t.Fatal("small.xml missing")
+	}
+	if got := small.Root().StringValue(); got != "onetwo three" {
+		t.Errorf("strval(small.xml) = %q", got)
+	}
+	catalog, ok := s.Get("catalog.xml")
+	if !ok {
+		t.Fatal("catalog.xml missing")
+	}
+	if v, _ := catalog.ByID("c0").Attr("xml:lang"); v != "de" {
+		t.Errorf("xml:lang = %q", v)
+	}
+}

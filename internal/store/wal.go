@@ -284,7 +284,7 @@ func decodeWALPayload(p []byte) (walRecord, error) {
 func applyWALRecord(s *Store, rec walRecord) error {
 	switch rec.op {
 	case walOpAdd, walOpReplace:
-		doc, err := xmltree.LoadSnapshot(bytes.NewReader(rec.doc))
+		doc, _, err := xmltree.LoadSnapshotBytes(rec.doc, xmltree.DefaultLimits())
 		if err != nil {
 			return fmt.Errorf("store: wal: %q: %w", rec.id, err)
 		}

@@ -102,12 +102,12 @@ func (in *Interner) Refs(label string) int {
 // release see the same multiset (one count per distinct string per
 // document).
 func (d *Document) labelSet() map[string]struct{} {
-	set := make(map[string]struct{}, len(d.labels)+4)
-	for _, n := range d.nodes {
-		set[n.label] = struct{}{}
-		for i := range n.attrs {
-			set[n.attrs[i].Name] = struct{}{}
-		}
+	set := make(map[string]struct{}, len(d.labels)+len(d.attrNames))
+	for _, l := range d.labels {
+		set[l] = struct{}{}
+	}
+	for _, a := range d.attrNames {
+		set[a] = struct{}{}
 	}
 	return set
 }
@@ -119,25 +119,19 @@ func (d *Document) labelSet() map[string]struct{} {
 // Attribute and text values are left alone (they are usually unique).
 //
 // The replacement strings are equal to the originals, so the document's
-// observable state is unchanged; but because string headers are rewritten
-// in place, InternLabels must not run concurrently with readers of the
-// document. Call it once, before the document is shared — Store.Add does.
+// observable state is unchanged; but because the label and attribute-name
+// tables are rewritten in place, InternLabels must not run concurrently
+// with readers of the document. Call it once, before the document is
+// shared — Store.Add does.
 func (d *Document) InternLabels(in *Interner) {
-	for _, n := range d.nodes {
-		n.label = in.Intern(n.label)
-		for i := range n.attrs {
-			n.attrs[i].Name = in.Intern(n.attrs[i].Name)
-		}
-	}
-	byLabel := make(map[string]*Set, len(d.byLabel))
-	for k, v := range d.byLabel {
-		byLabel[in.Intern(k)] = v
-	}
-	d.byLabel = byLabel
-	// Keep the flat label table canonical too, so LabelByID returns the
-	// interned copy and per-document strings become collectable.
+	labelIDs := make(map[string]int32, len(d.labels))
 	for i, l := range d.labels {
 		d.labels[i] = in.Intern(l)
+		labelIDs[d.labels[i]] = int32(i)
+	}
+	d.labelIDs = labelIDs
+	for i, a := range d.attrNames {
+		d.attrNames[i] = in.Intern(a)
 	}
 	in.retain(d.labelSet())
 }

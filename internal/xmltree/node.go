@@ -9,51 +9,33 @@
 // not part of dom: no node test matches it except node(), so it never
 // appears in query results unless explicitly addressed.
 //
+// A Document is a set of per-node columns indexed by the document-order
+// (pre) index: the tree shape in a Topology, the character data in one text
+// column, attributes in CSR columns. There is no pointer tree. Because a
+// preorder numbering makes every subtree a contiguous pre range, it also
+// makes the subtree's character data one contiguous run of the text column,
+// so strval(n) is a zero-copy substring. A Node is a two-word handle
+// (document, pre) into those columns.
+//
 // Documents are immutable after construction, which makes every accessor
 // safe for concurrent readers.
 package xmltree
 
 import (
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 	"unicode"
+	"unsafe"
 )
 
-// Node is a single node of the document tree. The zero value is not useful;
-// Nodes are created by Parse or by a Builder and are immutable afterwards.
+// Node is a handle on one node of a document: the document and the node's
+// pre index. All nodes of a document live in one array, so a node has
+// exactly one *Node and pointer equality is node identity. The zero value
+// is not useful; nodes come from a Document (Root, Node, sets).
 type Node struct {
-	doc    *Document
-	parent *Node
-	kids   []*Node
-
-	// segments interleaves character data and element children in document
-	// order, so that StringValue can reproduce exactly the concatenation of
-	// non-tag strings between the node's start and end tags (§2.1).
-	segments []segment
-
-	label string
-	attrs []Attr
-
-	// pre is the node's index in Document.Nodes, i.e. its position in
-	// document order. The document root has pre == 0.
-	pre int
-	// start and end are pre/post event numbers: start is assigned when the
-	// node's opening tag is seen, end when the closing tag is seen. They
-	// give O(1) tests for the descendant, following and preceding relations.
-	start, end int
-	// level is the depth of the node; the document root has level 0.
-	level int
-	// sibIdx is the node's position among its parent's children.
-	sibIdx int
-
-	strval string
-}
-
-// segment is one piece of a node's direct content: either text or a child
-// element (never both).
-type segment struct {
-	text  string
-	child *Node
+	doc *Document
+	pre int32
 }
 
 // Attr is a single attribute of an element. The paper's data model does not
@@ -68,154 +50,171 @@ type Attr struct {
 func (n *Node) Document() *Document { return n.doc }
 
 // Parent returns the node's parent, or nil for the document root.
-func (n *Node) Parent() *Node { return n.parent }
+func (n *Node) Parent() *Node {
+	if p := n.doc.topo.Parent[n.pre]; p >= 0 {
+		return &n.doc.nodes[p]
+	}
+	return nil
+}
 
-// Children returns the node's element children in document order. The
-// returned slice is shared and must not be modified.
-func (n *Node) Children() []*Node { return n.kids }
+// Children returns the node's element children in document order, as a
+// fresh slice (the topology's Kids row is the allocation-free form).
+func (n *Node) Children() []*Node { return n.doc.handles(n.doc.topo.Kids(n.pre)) }
 
 // Label returns the node's tag name. The document root has the empty label.
-func (n *Node) Label() string { return n.label }
+func (n *Node) Label() string { return n.doc.labels[n.doc.topo.LabelID[n.pre]] }
 
 // IsRoot reports whether the node is the synthetic document root (the node
 // addressed by "/").
-func (n *Node) IsRoot() bool { return n.parent == nil }
+func (n *Node) IsRoot() bool { return n.pre == 0 }
 
 // Pre returns the node's document-order (preorder) index; the document root
 // has Pre 0, the document element Pre 1.
-func (n *Node) Pre() int { return n.pre }
+func (n *Node) Pre() int { return int(n.pre) }
 
 // Level returns the node's depth; the document root is at level 0.
-func (n *Node) Level() int { return n.level }
+func (n *Node) Level() int { return int(n.doc.topo.Level[n.pre]) }
 
 // SiblingIndex returns the node's position among its parent's children
 // (0-based). The document root has index 0.
-func (n *Node) SiblingIndex() int { return n.sibIdx }
+func (n *Node) SiblingIndex() int { return int(n.doc.topo.SibIdx[n.pre]) }
 
 // StartEvent returns the node's opening-tag event number. Together with
 // EndEvent it gives O(1) descendant/following/preceding tests:
 // y is a descendant of x iff start(x) < start(y) and end(y) < end(x);
 // y follows x iff start(y) > end(x).
-func (n *Node) StartEvent() int { return n.start }
+func (n *Node) StartEvent() int { return int(n.doc.topo.Start[n.pre]) }
 
 // EndEvent returns the node's closing-tag event number.
-func (n *Node) EndEvent() int { return n.end }
+func (n *Node) EndEvent() int { return int(n.doc.topo.End[n.pre]) }
 
-// Attrs returns the node's attributes in document order. The returned slice
-// is shared and must not be modified.
-func (n *Node) Attrs() []Attr { return n.attrs }
+// Attrs returns the node's attributes in document order, as a fresh slice
+// (Attr looks one up without allocating).
+func (n *Node) Attrs() []Attr {
+	d := n.doc
+	lo, hi := d.attrOff[n.pre], d.attrOff[n.pre+1]
+	if lo == hi {
+		return nil
+	}
+	out := make([]Attr, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, Attr{Name: d.attrNames[d.attrName[i]], Value: d.attrValue(i)})
+	}
+	return out
+}
 
 // Attr returns the value of the named attribute and whether it is present.
 func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.attrs {
-		if a.Name == name {
-			return a.Value, true
+	d := n.doc
+	for i := d.attrOff[n.pre]; i < d.attrOff[n.pre+1]; i++ {
+		if d.attrNames[d.attrName[i]] == name {
+			return d.attrValue(i), true
 		}
 	}
 	return "", false
 }
 
 // StringValue returns strval(n): the concatenation of all character data
-// between the node's start and end tags, in document order (§2.1). Values
-// are precomputed when the document is built, so the accessor is O(1) and
-// safe for concurrent readers.
-func (n *Node) StringValue() string { return n.strval }
-
-// computeStrval fills n.strval from the (already computed) children's
-// values; Document.finish calls it in post-order.
-func (n *Node) computeStrval() {
-	// Fast paths: leaves with zero or one text segment need no builder.
-	switch len(n.segments) {
-	case 0:
-		n.strval = ""
-		return
-	case 1:
-		if n.segments[0].child != nil {
-			n.strval = n.segments[0].child.strval
-		} else {
-			n.strval = n.segments[0].text
-		}
-		return
-	}
-	var b strings.Builder
-	for _, s := range n.segments {
-		if s.child != nil {
-			b.WriteString(s.child.strval)
-		} else {
-			b.WriteString(s.text)
-		}
-	}
-	n.strval = b.String()
-}
+// between the node's start and end tags, in document order (§2.1). The
+// subtree's character data is one run of the document's text column, so
+// the value is a substring of it: O(1), allocation-free, and safe for
+// concurrent readers.
+func (n *Node) StringValue() string { return n.doc.StringValueAt(int(n.pre)) }
 
 // Before reports whether n precedes m in document order (n <doc m).
 func (n *Node) Before(m *Node) bool { return n.pre < m.pre }
 
 // IsAncestorOf reports whether n is a proper ancestor of m.
 func (n *Node) IsAncestorOf(m *Node) bool {
-	return n.start < m.start && m.end < n.end
+	t := &n.doc.topo
+	return t.Start[n.pre] < t.Start[m.pre] && t.End[m.pre] < t.End[n.pre]
 }
 
 // IsDescendantOf reports whether n is a proper descendant of m.
 func (n *Node) IsDescendantOf(m *Node) bool { return m.IsAncestorOf(n) }
 
-// FollowingSiblings returns the siblings after n in document order.
+// FollowingSiblings returns the siblings after n in document order, as a
+// fresh slice.
 func (n *Node) FollowingSiblings() []*Node {
-	if n.parent == nil {
+	t := &n.doc.topo
+	if n.pre == 0 {
 		return nil
 	}
-	sib := n.parent.kids
-	for i, c := range sib {
-		if c == n {
-			return sib[i+1:]
-		}
-	}
-	return nil
+	return n.doc.handles(t.Kids(t.Parent[n.pre])[t.SibIdx[n.pre]+1:])
 }
 
 // PrecedingSiblings returns the siblings before n, in document order
-// (callers that need reverse document order iterate backwards).
+// (callers that need reverse document order iterate backwards), as a fresh
+// slice.
 func (n *Node) PrecedingSiblings() []*Node {
-	if n.parent == nil {
+	t := &n.doc.topo
+	if n.pre == 0 {
 		return nil
 	}
-	sib := n.parent.kids
-	for i, c := range sib {
-		if c == n {
-			return sib[:i]
-		}
-	}
-	return nil
+	return n.doc.handles(t.Kids(t.Parent[n.pre])[:t.SibIdx[n.pre]])
 }
 
 // Document is an immutable parsed XML document: the node domain dom plus the
 // synthetic root, in document order, with the auxiliary indexes used by the
-// evaluation algorithms.
+// evaluation algorithms. Every per-node column is indexed by pre.
 type Document struct {
-	root  *Node
-	nodes []*Node // document order; nodes[0] is the root
+	nodes []Node // nodes[p] is the handle of the node with pre index p
 
-	ids      map[string]*Node
-	byLabel  map[string]*Set
-	allElems *Set // T(*): every node except the document root
-	allNodes *Set // node(): every node including the document root
-	emptySet *Set // shared T(t) for labels absent from the document
+	// Flat structure-of-arrays tree encoding (see topology.go) and the
+	// document's character data in document order: node p's string value
+	// is text[topo.TextStart[p]:topo.TextEnd[p]].
+	topo Topology
+	text string
 
-	// Flat structure-of-arrays tree encoding (see topology.go) plus the
-	// always-on per-document label table backing it: labels[id] is the
-	// canonical string of dense label ID id, labelSets[id] its T(t) bitset.
-	topo      Topology
+	// Attributes in CSR form: node p owns attribute indexes
+	// [attrOff[p], attrOff[p+1]); attribute i is named attrNames[attrName[i]]
+	// and its value is attrText[attrValOff[i]:attrValOff[i+1]].
+	attrOff    []int32
+	attrName   []int32
+	attrValOff []int32
+	attrNames  []string
+	attrText   string
+
+	// idIndex holds, sorted by id value, the pre index of the first node in
+	// document order carrying each distinct "id" attribute value. It is
+	// built on the first id lookup (idOnce), so loading a document never
+	// pays for it; idCount, the number of nodes with an id attribute, bounds
+	// its size. idName is the attrNames index of "id" (-1 when absent).
+	idOnce  sync.Once
+	idIndex []int32
+	idCount int
+	idName  int32
+
+	// The always-on per-document label table: labels[id] is the canonical
+	// string of dense label ID id, labelSets[id] its T(t) bitset.
 	labels    []string
 	labelIDs  map[string]int32
 	labelSets []*Set
+	allElems  *Set // T(*): every node except the document root
+	allNodes  *Set // node(): every node including the document root
+	emptySet  *Set // shared T(t) for labels absent from the document
+	setWords  int  // total words of the document-owned sets above
+}
+
+// handles maps pre indexes to a fresh slice of node handles.
+func (d *Document) handles(pres []int32) []*Node {
+	if len(pres) == 0 {
+		return nil
+	}
+	out := make([]*Node, len(pres))
+	for i, p := range pres {
+		out[i] = &d.nodes[p]
+	}
+	return out
+}
+
+// attrValue returns the value of attribute index i.
+func (d *Document) attrValue(i int32) string {
+	return d.attrText[d.attrValOff[i]:d.attrValOff[i+1]]
 }
 
 // Root returns the synthetic document root (the node selected by "/").
-func (d *Document) Root() *Node { return d.root }
-
-// Nodes returns all nodes in document order, including the document root at
-// index 0. The returned slice is shared and must not be modified.
-func (d *Document) Nodes() []*Node { return d.nodes }
+func (d *Document) Root() *Node { return &d.nodes[0] }
 
 // Size returns |dom|: the number of nodes excluding the document root.
 func (d *Document) Size() int { return len(d.nodes) - 1 }
@@ -225,22 +224,71 @@ func (d *Document) Size() int { return len(d.nodes) - 1 }
 func (d *Document) NumNodes() int { return len(d.nodes) }
 
 // Node returns the node with the given document-order index.
-func (d *Document) Node(pre int) *Node { return d.nodes[pre] }
+func (d *Document) Node(pre int) *Node { return &d.nodes[pre] }
+
+// StringValueAt returns strval of the node with the given pre index; it is
+// Node(pre).StringValue() without the handle.
+func (d *Document) StringValueAt(pre int) string {
+	return d.text[d.topo.TextStart[pre]:d.topo.TextEnd[pre]]
+}
+
+// MemBytes returns the document's in-memory footprint in bytes: the node
+// handles, the topology and attribute columns, the id index, the text and
+// attribute bytes, the label and attribute-name tables and the label
+// bitsets. The id index is counted at its full size even before its first
+// use builds it. Map and struct headers are not counted.
+func (d *Document) MemBytes() int64 {
+	b := int64(len(d.nodes))*int64(unsafe.Sizeof(Node{})) + d.topo.Bytes()
+	b += 4 * int64(len(d.attrOff)+len(d.attrName)+len(d.attrValOff)+d.idCount)
+	b += int64(len(d.text)+len(d.attrText)) + 8*int64(d.setWords)
+	for _, l := range d.labels {
+		b += int64(len(l))
+	}
+	for _, a := range d.attrNames {
+		b += int64(len(a))
+	}
+	return b
+}
+
+// idValue returns the value of node p's first "id" attribute, and whether
+// it has one.
+func (d *Document) idValue(p int32) (string, bool) {
+	for i := d.attrOff[p]; i < d.attrOff[p+1]; i++ {
+		if d.attrName[i] == d.idName {
+			return d.attrValue(i), true
+		}
+	}
+	return "", false
+}
+
+// lookupID returns the pre index of the node ByID would return, or -1.
+func (d *Document) lookupID(key string) int {
+	d.idOnce.Do(d.buildIDIndex)
+	i, ok := slices.BinarySearchFunc(d.idIndex, key, func(p int32, k string) int {
+		v, _ := d.idValue(p)
+		return strings.Compare(v, k)
+	})
+	if !ok {
+		return -1
+	}
+	return int(d.idIndex[i])
+}
 
 // ByID returns the node whose "id" attribute equals the given key, or nil.
 // When several nodes share an id, the first in document order wins, per the
 // XPath 1.0 deref_ids semantics.
-func (d *Document) ByID(id string) *Node { return d.ids[id] }
+func (d *Document) ByID(id string) *Node {
+	if p := d.lookupID(id); p >= 0 {
+		return &d.nodes[p]
+	}
+	return nil
+}
 
 // DerefIDs interprets s as a whitespace-separated list of keys and returns
 // the set of nodes whose ids are contained in the list (§2.1 deref_ids).
 func (d *Document) DerefIDs(s string) *Set {
 	out := NewSet(d)
-	for _, key := range strings.Fields(s) {
-		if n := d.ids[key]; n != nil {
-			out.Add(n)
-		}
-	}
+	d.DerefIDsInto(out, s)
 	return out
 }
 
@@ -249,8 +297,8 @@ func (d *Document) DerefIDs(s string) *Set {
 // (same whitespace classes as strings.Fields) and dst is not cleared.
 func (d *Document) DerefIDsInto(dst *Set, s string) {
 	forEachField(s, func(key string) bool {
-		if n := d.ids[key]; n != nil {
-			dst.AddPre(n.pre)
+		if p := d.lookupID(key); p >= 0 {
+			dst.AddPre(p)
 		}
 		return true
 	})
@@ -261,7 +309,7 @@ func (d *Document) DerefIDsInto(dst *Set, s string) {
 func (d *Document) DerefIDsIntersect(s string, y *Set) bool {
 	hit := false
 	forEachField(s, func(key string) bool {
-		if n := d.ids[key]; n != nil && y.HasPre(n.pre) {
+		if p := d.lookupID(key); p >= 0 && y.HasPre(p) {
 			hit = true
 			return false
 		}
@@ -306,12 +354,9 @@ func isSpaceRune(r rune) bool {
 // LabelSet returns T(t) for a tag name t: the set of nodes labeled t. The
 // returned set is cached and shared; callers must not modify it.
 func (d *Document) LabelSet(label string) *Set {
-	if s, ok := d.byLabel[label]; ok {
-		return s
+	if id, ok := d.labelIDs[label]; ok {
+		return d.labelSets[id]
 	}
-	// Unknown labels share one canonical empty set per document, built at
-	// finish() time: caching per unknown label here would write the map and
-	// break the document's safe-for-concurrent-readers guarantee.
 	return d.emptySet
 }
 
@@ -323,61 +368,7 @@ func (d *Document) AllElements() *Set { return d.allElems }
 // document root. The returned set is shared; callers must not modify it.
 func (d *Document) AllNodes() *Set { return d.allNodes }
 
-// finish assigns pre/start/end numbers, builds the label and id indexes, and
-// freezes the document. It is called exactly once by Parse and Builder.Done.
-func (d *Document) finish() {
-	d.nodes = d.nodes[:0]
-	d.ids = make(map[string]*Node)
-	counter := 0
-	var walk func(n *Node, level int)
-	var order []*Node
-	walk = func(n *Node, level int) {
-		n.doc = d
-		n.pre = len(order)
-		n.level = level
-		n.start = counter
-		counter++
-		order = append(order, n)
-		for i, c := range n.kids {
-			c.sibIdx = i
-			walk(c, level+1)
-		}
-		n.end = counter
-		counter++
-	}
-	walk(d.root, 0)
-	d.nodes = order
-	// String values, post-order so children are ready before their parents.
-	for i := len(order) - 1; i >= 0; i-- {
-		order[i].computeStrval()
-	}
-
-	d.byLabel = make(map[string]*Set)
-	d.allElems = NewSet(d)
-	d.allNodes = NewSet(d)
-	d.emptySet = NewSet(d)
-	for _, n := range d.nodes {
-		d.allNodes.Add(n)
-		if n.parent == nil {
-			continue
-		}
-		d.allElems.Add(n)
-		s, ok := d.byLabel[n.label]
-		if !ok {
-			s = NewSet(d)
-			d.byLabel[n.label] = s
-		}
-		s.Add(n)
-		if id, ok := n.Attr("id"); ok {
-			if _, dup := d.ids[id]; !dup {
-				d.ids[id] = n
-			}
-		}
-	}
-	d.buildTopology()
-}
-
 // SortDocOrder sorts a slice of nodes into document order in place.
 func SortDocOrder(nodes []*Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].pre < nodes[j].pre })
+	slices.SortFunc(nodes, func(a, b *Node) int { return int(a.pre - b.pre) })
 }

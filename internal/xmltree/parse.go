@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-// Ingest instruments. Parse times include the topology build (Done calls
-// finish); programmatic Builder use reports only the build histogram and the
-// topology footprint.
+// Ingest instruments. Parse times include the column build (Done);
+// programmatic Builder use reports only the build histogram and the
+// topology and whole-document footprints.
 var (
 	mParseDocs  = metrics.Default().Counter("xmltree.parse.docs")
 	mParseNodes = metrics.Default().Counter("xmltree.parse.nodes")
@@ -21,15 +22,14 @@ var (
 	mParseNs    = metrics.Default().Histogram("xmltree.parse_ns")
 	mBuildNs    = metrics.Default().Histogram("xmltree.build_ns")
 	mTopoBytes  = metrics.Default().Counter("xmltree.topology_bytes")
+	mDocBytes   = metrics.Default().Counter("xmltree.document_bytes")
 )
 
-// Ingest bounds. The derived-index builder (Document.finish) and the
-// snapshot writer recurse once per nesting level, so an adversarial
-// document that is deep enough overflows the goroutine stack — a fatal,
-// unrecoverable crash, unlike a panic. The node cap bounds ingest memory.
-// Both defaults are far above anything a real document does (XML in the
-// wild nests tens of levels, not thousands) while keeping the recursion
-// comfortably inside Go's default stack budget.
+// Ingest bounds. Building, writing and serializing a document are flat
+// passes over pre indexes, so depth costs no stack; the depth cap remains
+// an input bound on untrusted XML and snapshots, and the node cap bounds
+// ingest memory. Both defaults are far above anything a real document does
+// (XML in the wild nests tens of levels, not thousands).
 const (
 	// DefaultMaxDepth is the element-nesting bound Parse and LoadSnapshot
 	// apply when the caller does not choose its own Limits.
@@ -45,6 +45,18 @@ var (
 	ErrDepthLimit = errors.New("xmltree: document exceeds the nesting depth limit")
 	ErrNodeLimit  = errors.New("xmltree: document exceeds the node count limit")
 )
+
+// ErrMalformed classifies input that is not a well-formed XML document with
+// exactly one document element. Every Parse error other than the limit
+// errors wraps it (comparable with errors.Is) and keeps its own message.
+var ErrMalformed = errors.New("xmltree: malformed document")
+
+// malformedError marks err as an ErrMalformed failure.
+type malformedError struct{ err error }
+
+func (e malformedError) Error() string        { return e.err.Error() }
+func (e malformedError) Unwrap() error        { return e.err }
+func (e malformedError) Is(target error) bool { return target == ErrMalformed }
 
 // Limits bounds one document ingest against adversarial input. A zero or
 // negative field imposes no corresponding limit; DefaultLimits returns the
@@ -92,8 +104,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // Parse reads an XML document from r and returns its tree representation.
 // Comments and processing instructions are skipped (the paper's data model
 // has a single node kind); attributes are kept as data on their element.
-// Namespace prefixes are retained verbatim in labels — the paper excludes
-// namespace processing. DefaultLimits applies; ParseWithLimits chooses
+// Labels and attribute names are local names (see localName) — the paper
+// excludes namespace processing. DefaultLimits applies; ParseWithLimits chooses
 // other bounds (the programmatic Builder is never limited — generators
 // synthesize arbitrarily large documents through it).
 func Parse(r io.Reader) (*Document, error) {
@@ -101,7 +113,8 @@ func Parse(r io.Reader) (*Document, error) {
 }
 
 // ParseWithLimits is Parse under caller-chosen ingest bounds; exceeding one
-// returns an error wrapping ErrDepthLimit or ErrNodeLimit.
+// returns an error wrapping ErrDepthLimit or ErrNodeLimit. Any other error
+// wraps ErrMalformed.
 func ParseWithLimits(r io.Reader, l Limits) (*Document, error) {
 	t0 := trace.Now()
 	cr := &countingReader{r: r}
@@ -117,7 +130,7 @@ func ParseWithLimits(r io.Reader, l Limits) (*Document, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
+			return nil, malformedError{fmt.Errorf("xmltree: parse: %w", err)}
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
@@ -125,22 +138,29 @@ func ParseWithLimits(r io.Reader, l Limits) (*Document, error) {
 			if err := l.checkDepth(depth); err != nil {
 				return nil, err
 			}
-			attrs := make([]Attr, 0, len(t.Attr))
-			for _, a := range t.Attr {
-				attrs = append(attrs, Attr{Name: attrName(a.Name), Value: a.Value})
+			label, err := localName(t.Name)
+			if err != nil {
+				return nil, err
 			}
-			b.Start(attrName(t.Name), attrs...)
-			if err := l.checkNodes(b.count); err != nil {
+			b.open(b.intern(label))
+			for _, a := range t.Attr {
+				name, err := localName(a.Name)
+				if err != nil {
+					return nil, err
+				}
+				b.attr(b.attrNameIDString(name), nil, a.Value)
+			}
+			if err := l.checkNodes(b.Count()); err != nil {
 				return nil, err
 			}
 		case xml.EndElement:
 			if err := b.End(); err != nil {
-				return nil, err
+				return nil, malformedError{err}
 			}
 			depth--
 		case xml.CharData:
 			if depth > 0 {
-				b.Text(string(t))
+				b.appendText(t, "")
 			}
 		case xml.Comment, xml.ProcInst, xml.Directive:
 			// Not part of the data model (§2.1).
@@ -148,7 +168,7 @@ func ParseWithLimits(r io.Reader, l Limits) (*Document, error) {
 	}
 	d, err := b.Done()
 	if err != nil {
-		return nil, err
+		return nil, malformedError{err}
 	}
 	mParseDocs.Add(1)
 	mParseNodes.Add(int64(d.NumNodes()))
@@ -157,18 +177,39 @@ func ParseWithLimits(r io.Reader, l Limits) (*Document, error) {
 	return d, nil
 }
 
-func attrName(n xml.Name) string {
+// localName returns the name the data model keeps for an element or
+// attribute name. encoding/xml resolves prefixes to URIs; for the paper's
+// namespace-free model we keep the local name, except that xml:...
+// attributes keep their conventional prefix form (the decoder reports them
+// under the XML namespace URI). A dropped prefix must leave a name that is
+// an XML name by itself, as Namespaces in XML requires: otherwise the
+// document could not be serialized again.
+func localName(n xml.Name) (string, error) {
 	if n.Space == "" {
-		return n.Local
+		return n.Local, nil
 	}
-	// encoding/xml resolves prefixes to URIs; for the paper's namespace-free
-	// model we keep the local name and note the space only when it would
-	// otherwise be ambiguous. xml:... attributes keep their conventional
-	// prefix form (the decoder reports them under the XML namespace URI).
 	if n.Space == "xml" || n.Space == "http://www.w3.org/XML/1998/namespace" {
-		return "xml:" + n.Local
+		return "xml:" + n.Local, nil
 	}
-	return n.Local
+	if !isName(n.Local) {
+		return "", malformedError{fmt.Errorf("xmltree: parse: local name %q of a prefixed name is not an XML name", n.Local)}
+	}
+	return n.Local, nil
+}
+
+// isName reports whether s, the local part of a name the decoder accepted
+// (so every byte after the first is a valid name character), is a name by
+// itself. Only the first character can be wrong; ASCII is decided here and
+// the rare non-ASCII start is handed to the decoder itself.
+func isName(s string) bool {
+	switch c := s[0]; {
+	case c == '_' || c == ':' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+		return true
+	case c < utf8.RuneSelf:
+		return false
+	}
+	_, err := xml.NewDecoder(strings.NewReader("<" + s + "/>")).Token()
+	return err == nil
 }
 
 // ParseString parses an XML document held in a string.
@@ -184,160 +225,4 @@ func MustParseString(s string) *Document {
 		panic(err)
 	}
 	return d
-}
-
-// Builder constructs documents programmatically, which the workload
-// generators use to synthesize large documents without paying XML
-// serialization costs. Calls must form a well-nested element sequence:
-//
-//	b := NewBuilder()
-//	b.Start("a"); b.Text("hi"); b.Start("b"); b.End(); b.End()
-//	doc, err := b.Done()
-type Builder struct {
-	root  *Node
-	stack []*Node
-	count int
-	err   error
-}
-
-// NewBuilder returns a builder with an empty document root on the stack.
-func NewBuilder() *Builder {
-	root := &Node{}
-	return &Builder{root: root, stack: []*Node{root}, count: 1}
-}
-
-// Start opens a new element with the given label and attributes.
-func (b *Builder) Start(label string, attrs ...Attr) *Builder {
-	if b.err != nil {
-		return b
-	}
-	parent := b.stack[len(b.stack)-1]
-	n := &Node{parent: parent, label: label, attrs: attrs}
-	parent.kids = append(parent.kids, n)
-	parent.segments = append(parent.segments, segment{child: n})
-	b.stack = append(b.stack, n)
-	b.count++
-	return b
-}
-
-// Text appends character data to the currently open element. Text directly
-// under the document root is rejected (XML well-formedness).
-func (b *Builder) Text(s string) *Builder {
-	if b.err != nil || s == "" {
-		return b
-	}
-	cur := b.stack[len(b.stack)-1]
-	if cur == b.root {
-		b.err = fmt.Errorf("xmltree: character data outside the document element")
-		return b
-	}
-	cur.segments = append(cur.segments, segment{text: s})
-	return b
-}
-
-// End closes the currently open element.
-func (b *Builder) End() error {
-	if b.err != nil {
-		return b.err
-	}
-	if len(b.stack) <= 1 {
-		b.err = fmt.Errorf("xmltree: End without matching Start")
-		return b.err
-	}
-	b.stack = b.stack[:len(b.stack)-1]
-	return nil
-}
-
-// Elem emits a complete element with optional text content and no children;
-// it is shorthand for Start+Text+End.
-func (b *Builder) Elem(label, text string, attrs ...Attr) *Builder {
-	b.Start(label, attrs...)
-	b.Text(text)
-	if err := b.End(); err != nil {
-		return b
-	}
-	return b
-}
-
-// Count returns the number of nodes created so far, including the document
-// root; generators use it to stop at a target |D|.
-func (b *Builder) Count() int { return b.count }
-
-// Depth returns the number of currently open elements (document root
-// excluded).
-func (b *Builder) Depth() int { return len(b.stack) - 1 }
-
-// Done finalizes and returns the document. It fails if elements remain open,
-// if no document element was produced, or if more than one top-level element
-// was produced.
-func (b *Builder) Done() (*Document, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if len(b.stack) != 1 {
-		return nil, fmt.Errorf("xmltree: %d element(s) left open", len(b.stack)-1)
-	}
-	if len(b.root.kids) == 0 {
-		return nil, fmt.Errorf("xmltree: document has no document element")
-	}
-	if len(b.root.kids) > 1 {
-		return nil, fmt.Errorf("xmltree: document has %d top-level elements, want 1", len(b.root.kids))
-	}
-	d := &Document{root: b.root}
-	t0 := trace.Now()
-	d.finish()
-	mBuildNs.Observe(trace.Now() - t0)
-	mTopoBytes.Add(d.topo.Bytes())
-	return d, nil
-}
-
-// WriteXML serializes the document back to XML. It is used by examples and
-// by round-trip tests; the output has no declaration and no indentation so
-// that string values survive the round trip exactly.
-func (d *Document) WriteXML(w io.Writer) error {
-	var write func(n *Node) error
-	write = func(n *Node) error {
-		if !n.IsRoot() {
-			if _, err := io.WriteString(w, "<"+n.label); err != nil {
-				return err
-			}
-			for _, a := range n.attrs {
-				if _, err := io.WriteString(w, " "+a.Name+`="`+xmlEscape(a.Value)+`"`); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, ">"); err != nil {
-				return err
-			}
-		}
-		for _, s := range n.segments {
-			if s.child != nil {
-				if err := write(s.child); err != nil {
-					return err
-				}
-			} else if _, err := io.WriteString(w, xmlEscape(s.text)); err != nil {
-				return err
-			}
-		}
-		if !n.IsRoot() {
-			if _, err := io.WriteString(w, "</"+n.label+">"); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return write(d.root)
-}
-
-// XMLString returns the document serialized as XML.
-func (d *Document) XMLString() string {
-	var b strings.Builder
-	// strings.Builder's Write never fails.
-	_ = d.WriteXML(&b)
-	return b.String()
-}
-
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
 }

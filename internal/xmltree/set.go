@@ -43,7 +43,7 @@ func (s *Set) Words() []uint64 { return s.words }
 // Add inserts the node into the set.
 //
 //xpathlint:noalloc
-func (s *Set) Add(node *Node) { s.AddPre(node.pre) }
+func (s *Set) Add(node *Node) { s.AddPre(int(node.pre)) }
 
 // AddPre inserts the node with the given document-order index.
 //
@@ -87,7 +87,7 @@ func (s *Set) orWord(w int, mask uint64) {
 }
 
 // Remove deletes the node from the set.
-func (s *Set) Remove(node *Node) { s.RemovePre(node.pre) }
+func (s *Set) Remove(node *Node) { s.RemovePre(int(node.pre)) }
 
 // RemovePre deletes the node with the given document-order index.
 //
@@ -101,7 +101,7 @@ func (s *Set) RemovePre(pre int) {
 }
 
 // Has reports whether the node is in the set.
-func (s *Set) Has(node *Node) bool { return s.HasPre(node.pre) }
+func (s *Set) Has(node *Node) bool { return s.HasPre(int(node.pre)) }
 
 // HasPre reports whether the node with the given document-order index is in
 // the set.
@@ -223,7 +223,7 @@ func (s *Set) Intersects(t *Set) bool {
 // (first_<doc of §2.1), or nil if the set is empty.
 func (s *Set) First() *Node {
 	if pre := s.FirstPre(); pre >= 0 {
-		return s.doc.nodes[pre]
+		return &s.doc.nodes[pre]
 	}
 	return nil
 }
@@ -241,7 +241,7 @@ func (s *Set) FirstPre() int {
 // Last returns the last node of the set in document order, or nil.
 func (s *Set) Last() *Node {
 	if pre := s.LastPre(); pre >= 0 {
-		return s.doc.nodes[pre]
+		return &s.doc.nodes[pre]
 	}
 	return nil
 }
@@ -261,7 +261,7 @@ func (s *Set) ForEach(f func(*Node)) {
 	for i, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			f(s.doc.nodes[i*64+b])
+			f(&s.doc.nodes[i*64+b])
 			w &^= 1 << uint(b)
 		}
 	}
@@ -285,7 +285,7 @@ func (s *Set) ForEachReverse(f func(*Node)) {
 		w := s.words[i]
 		for w != 0 {
 			b := 63 - bits.LeadingZeros64(w)
-			f(s.doc.nodes[i*64+b])
+			f(&s.doc.nodes[i*64+b])
 			w &^= 1 << uint(b)
 		}
 	}

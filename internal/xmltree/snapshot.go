@@ -3,16 +3,18 @@ package xmltree
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
 // Snapshot is a compact binary serialization of a Document: labels are
 // interned into a string table and the tree is emitted as a preorder event
-// stream. Loading a snapshot rebuilds the document — including all derived
-// indexes (document order, event numbers, string values, label sets, ids) —
-// without re-parsing XML. It is the persistence substrate the paper's
+// stream. Loading a snapshot rebuilds the document — its columns and all
+// derived indexes (event numbers, text offsets, label sets, ids) — without
+// re-parsing XML. It is the persistence substrate the paper's
 // conclusion points at ("using our techniques for XPath processors that
 // query XML documents stored in a database"): documents can be prepared
 // once and memory-mapped into evaluation processes cheaply.
@@ -35,65 +37,45 @@ const (
 	evEOF
 )
 
-// WriteSnapshot serializes the document.
+// WriteSnapshot serializes the document. The events are the document's
+// parse events (see walk), so a document whose text runs were each one
+// parser text event writes the same bytes it was loaded from.
 func (d *Document) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
+	_, _ = bw.WriteString(snapshotMagic)
+
+	// Label table, in order of first appearance among the elements;
+	// snapIdx[id] is the table index of label id plus one (0: unused).
+	t := &d.topo
+	snapIdx := make([]uint64, len(d.labels))
+	var order []int32
+	for _, id := range t.LabelID[1:] {
+		if snapIdx[id] == 0 {
+			order = append(order, id)
+			snapIdx[id] = uint64(len(order))
+		}
+	}
+	WriteUvarint(bw, uint64(len(order)))
+	for _, id := range order {
+		WriteSnapString(bw, d.labels[id])
 	}
 
-	// Label table, in order of first appearance.
-	labelIdx := make(map[string]int)
-	var labels []string
-	for _, n := range d.nodes[1:] {
-		if _, ok := labelIdx[n.label]; !ok {
-			labelIdx[n.label] = len(labels)
-			labels = append(labels, n.label)
+	// bufio.Writer errors are sticky: Flush reports the first one.
+	d.walk(func(p int32) {
+		_ = bw.WriteByte(evStart)
+		WriteUvarint(bw, snapIdx[t.LabelID[p]]-1)
+		WriteUvarint(bw, uint64(d.attrOff[p+1]-d.attrOff[p]))
+		for i := d.attrOff[p]; i < d.attrOff[p+1]; i++ {
+			WriteSnapString(bw, d.attrNames[d.attrName[i]])
+			WriteSnapString(bw, d.attrValue(i))
 		}
-	}
-	WriteUvarint(bw, uint64(len(labels)))
-	for _, l := range labels {
-		WriteSnapString(bw, l)
-	}
-
-	var walk func(n *Node) error
-	walk = func(n *Node) error {
-		if !n.IsRoot() {
-			if err := bw.WriteByte(evStart); err != nil {
-				return err
-			}
-			WriteUvarint(bw, uint64(labelIdx[n.label]))
-			WriteUvarint(bw, uint64(len(n.attrs)))
-			for _, a := range n.attrs {
-				WriteSnapString(bw, a.Name)
-				WriteSnapString(bw, a.Value)
-			}
-		}
-		for _, seg := range n.segments {
-			if seg.child != nil {
-				if err := walk(seg.child); err != nil {
-					return err
-				}
-			} else {
-				if err := bw.WriteByte(evText); err != nil {
-					return err
-				}
-				WriteSnapString(bw, seg.text)
-			}
-		}
-		if !n.IsRoot() {
-			if err := bw.WriteByte(evEnd); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(d.root); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(evEOF); err != nil {
-		return err
-	}
+	}, func(s string) {
+		_ = bw.WriteByte(evText)
+		WriteSnapString(bw, s)
+	}, func(int32) {
+		_ = bw.WriteByte(evEnd)
+	})
+	_ = bw.WriteByte(evEOF)
 	return bw.Flush()
 }
 
@@ -106,12 +88,6 @@ func LoadSnapshot(r io.Reader) (*Document, error) {
 }
 
 // LoadSnapshotWithLimits is LoadSnapshot under caller-chosen ingest bounds.
-//
-// Every count read from the stream is treated as a claim, not a fact: the
-// label table and attribute lists grow with the bytes actually present
-// (capped preallocation) so a short, corrupted stream declaring huge counts
-// fails with a read error after a small allocation instead of committing
-// gigabytes up front.
 func LoadSnapshotWithLimits(r io.Reader, l Limits) (*Document, error) {
 	d, _, err := LoadSnapshotCounted(r, l)
 	return d, err
@@ -119,99 +95,224 @@ func LoadSnapshotWithLimits(r io.Reader, l Limits) (*Document, error) {
 
 // LoadSnapshotCounted is LoadSnapshotWithLimits reporting additionally how
 // many bytes of r the snapshot occupied — the exact count the decoder
-// consumed, read-ahead excluded. Framed embeddings (the corpus formats of
-// internal/store) use it to detect slack: declared frame bytes the
-// document stream never accounted for.
+// consumed, up to and including the end-of-document event. Framed
+// embeddings (the corpus formats of internal/store) use it to detect
+// slack: declared frame bytes the document stream never accounted for.
+// The decoder reads r to its end; bytes after the snapshot are discarded.
 func LoadSnapshotCounted(r io.Reader, l Limits) (*Document, int64, error) {
-	cr := &countingReader{r: r}
-	br := bufio.NewReader(cr)
-	d, err := loadSnapshotFrom(br, l)
-	return d, cr.n - int64(br.Buffered()), err
+	var buf []byte
+	var err error
+	if lr, ok := r.(interface{ Len() int }); ok {
+		// bytes.Reader, bytes.Buffer, strings.Reader: one exact buffer.
+		buf = make([]byte, lr.Len())
+		_, err = io.ReadFull(r, buf)
+	} else {
+		buf, err = io.ReadAll(r)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("xmltree: snapshot: %w", err)
+	}
+	d, n, err := LoadSnapshotBytes(buf, l)
+	return d, int64(n), err
 }
 
-func loadSnapshotFrom(br *bufio.Reader, l Limits) (*Document, error) {
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("xmltree: snapshot: %w", err)
+// LoadSnapshotBytes decodes the snapshot at the start of buf and reports
+// how many bytes it occupied. The document does not retain buf.
+//
+// Decoding takes two passes over buf. The first validates the stream,
+// enforces l and counts nodes, attributes and text bytes; the second
+// builds the document into columns allocated once at their exact size, so
+// a load makes the same number of allocations whatever the document's
+// size. Every count read from the stream is treated as a claim, not a
+// fact: it is checked against the bytes actually present before anything
+// is allocated for it.
+func LoadSnapshotBytes(buf []byte, l Limits) (*Document, int, error) {
+	r := &snapReader{buf: buf}
+	magic, err := r.next(len(snapshotMagic))
+	if err != nil {
+		return nil, 0, fmt.Errorf("xmltree: snapshot: %w", err)
 	}
 	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("xmltree: snapshot: bad magic %q", magic)
+		return nil, 0, fmt.Errorf("xmltree: snapshot: bad magic %q", magic)
 	}
-	nLabels, err := binary.ReadUvarint(br)
+	nLabels, err := r.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("xmltree: snapshot: label count: %w", err)
+		return nil, 0, fmt.Errorf("xmltree: snapshot: label count: %w", err)
 	}
-	if nLabels > 1<<24 {
-		return nil, fmt.Errorf("xmltree: snapshot: implausible label count %d", nLabels)
+	// Every label takes at least its one-byte length prefix.
+	if nLabels > 1<<24 || nLabels > uint64(r.remaining()) {
+		return nil, 0, fmt.Errorf("xmltree: snapshot: implausible label count %d", nLabels)
 	}
-	labels := make([]string, 0, min(nLabels, 4096))
-	for i := uint64(0); i < nLabels; i++ {
-		s, err := ReadSnapString(br)
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: snapshot: label %d: %w", i, err)
+	labels := make([][]byte, nLabels)
+	for i := range labels {
+		if labels[i], err = r.str(); err != nil {
+			return nil, 0, fmt.Errorf("xmltree: snapshot: label %d: %w", i, err)
 		}
-		labels = append(labels, s)
 	}
-
+	events := r.off
+	n, err := decodeEvents(r, labels, l, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	end := r.off
 	b := NewBuilder()
+	b.reserve(n.nodes, n.attrs, n.text, n.attrText)
+	r.off = events
+	if _, err := decodeEvents(r, labels, l, b); err != nil {
+		return nil, 0, err
+	}
+	d, err := b.Done()
+	if err != nil {
+		return nil, 0, fmt.Errorf("xmltree: snapshot: %w", err)
+	}
+	return d, end, nil
+}
+
+// snapCounts are the column sizes the first decoding pass measures.
+type snapCounts struct{ nodes, attrs, text, attrText int }
+
+// decodeEvents walks the event stream from r's position to the
+// end-of-document event. Without a builder it validates and counts; with
+// one it feeds the builder, which has been reserved with the counts.
+func decodeEvents(r *snapReader, labels [][]byte, l Limits, b *Builder) (snapCounts, error) {
+	c := snapCounts{nodes: 1}
+	var labelIDs []int32 // snapshot label index -> document label ID + 1
+	if b != nil {
+		labelIDs = make([]int32, len(labels))
+	}
 	depth := 0
 	for {
-		ev, err := br.ReadByte()
+		ev, err := r.byte()
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: snapshot: event: %w", err)
+			return c, fmt.Errorf("xmltree: snapshot: event: %w", err)
 		}
 		switch ev {
 		case evStart:
-			li, err := binary.ReadUvarint(br)
+			li, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return c, fmt.Errorf("xmltree: snapshot: %w", err)
 			}
 			if li >= uint64(len(labels)) {
-				return nil, fmt.Errorf("xmltree: snapshot: label index %d out of range", li)
+				return c, fmt.Errorf("xmltree: snapshot: label index %d out of range", li)
 			}
-			nAttrs, err := binary.ReadUvarint(br)
+			nAttrs, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return c, fmt.Errorf("xmltree: snapshot: %w", err)
 			}
-			if nAttrs > 1<<20 {
-				return nil, fmt.Errorf("xmltree: snapshot: implausible attribute count %d", nAttrs)
-			}
-			attrs := make([]Attr, 0, min(nAttrs, 64))
-			for i := uint64(0); i < nAttrs; i++ {
-				var a Attr
-				if a.Name, err = ReadSnapString(br); err != nil {
-					return nil, err
-				}
-				if a.Value, err = ReadSnapString(br); err != nil {
-					return nil, err
-				}
-				attrs = append(attrs, a)
+			// An attribute takes at least its two length prefixes.
+			if nAttrs > 1<<20 || nAttrs > uint64(r.remaining()/2) {
+				return c, fmt.Errorf("xmltree: snapshot: implausible attribute count %d", nAttrs)
 			}
 			depth++
 			if err := l.checkDepth(depth); err != nil {
-				return nil, err
+				return c, err
 			}
-			b.Start(labels[li], attrs...)
-			if err := l.checkNodes(b.count); err != nil {
-				return nil, err
+			c.nodes++
+			if err := l.checkNodes(c.nodes); err != nil {
+				return c, err
+			}
+			if b != nil {
+				if labelIDs[li] == 0 {
+					labelIDs[li] = b.intern(string(labels[li])) + 1
+				}
+				b.open(labelIDs[li] - 1)
+			}
+			for i := uint64(0); i < nAttrs; i++ {
+				name, err := r.str()
+				if err != nil {
+					return c, fmt.Errorf("xmltree: snapshot: %w", err)
+				}
+				value, err := r.str()
+				if err != nil {
+					return c, fmt.Errorf("xmltree: snapshot: %w", err)
+				}
+				c.attrs++
+				c.attrText += len(value)
+				if b != nil {
+					b.attr(b.attrNameID(name), value, "")
+				}
+			}
+			if c.attrText > math.MaxInt32 {
+				return c, fmt.Errorf("xmltree: snapshot: attribute text exceeds %d bytes", math.MaxInt32)
 			}
 		case evText:
-			s, err := ReadSnapString(br)
+			s, err := r.str()
 			if err != nil {
-				return nil, err
+				return c, fmt.Errorf("xmltree: snapshot: %w", err)
 			}
-			b.Text(s)
+			if depth == 0 && len(s) > 0 {
+				return c, fmt.Errorf("xmltree: snapshot: character data outside the document element")
+			}
+			c.text += len(s)
+			if c.text > math.MaxInt32 {
+				return c, fmt.Errorf("xmltree: snapshot: document text exceeds %d bytes", math.MaxInt32)
+			}
+			if b != nil {
+				b.appendText(s, "")
+			}
 		case evEnd:
-			if err := b.End(); err != nil {
-				return nil, fmt.Errorf("xmltree: snapshot: %w", err)
+			if depth == 0 {
+				return c, fmt.Errorf("xmltree: snapshot: End without matching Start")
 			}
 			depth--
+			if b != nil {
+				_ = b.End()
+			}
 		case evEOF:
-			return b.Done()
+			return c, nil
 		default:
-			return nil, fmt.Errorf("xmltree: snapshot: unknown event %d", ev)
+			return c, fmt.Errorf("xmltree: snapshot: unknown event %d", ev)
 		}
 	}
+}
+
+// snapReader decodes the snapshot framing from a byte slice.
+type snapReader struct {
+	buf []byte
+	off int
+}
+
+func (r *snapReader) remaining() int { return len(r.buf) - r.off }
+
+func (r *snapReader) byte() (byte, error) {
+	if r.off >= len(r.buf) {
+		return 0, io.EOF
+	}
+	r.off++
+	return r.buf[r.off-1], nil
+}
+
+func (r *snapReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.buf[r.off:])
+	switch {
+	case n == 0:
+		return 0, io.ErrUnexpectedEOF
+	case n < 0:
+		return 0, errors.New("varint overflows 64 bits")
+	}
+	r.off += n
+	return v, nil
+}
+
+// next returns the next n bytes of the buffer (aliased, not copied).
+func (r *snapReader) next(n int) ([]byte, error) {
+	if n > r.remaining() {
+		return nil, io.ErrUnexpectedEOF
+	}
+	r.off += n
+	return r.buf[r.off-n : r.off], nil
+}
+
+// str reads a length-prefixed string as an alias into the buffer.
+func (r *snapReader) str() ([]byte, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.remaining()) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return r.next(int(n))
 }
 
 // WriteUvarint, WriteSnapString and ReadSnapString are the shared framing

@@ -20,7 +20,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if back.Size() != d.Size() {
 		t.Fatalf("size %d, want %d", back.Size(), d.Size())
 	}
-	for i, orig := range d.Nodes() {
+	for i, orig := range d.AllNodes().Nodes() {
 		got := back.Node(i)
 		if got.Label() != orig.Label() || got.StringValue() != orig.StringValue() ||
 			got.StartEvent() != orig.StartEvent() || got.EndEvent() != orig.EndEvent() {

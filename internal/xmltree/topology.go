@@ -1,15 +1,16 @@
 package xmltree
 
 // Topology is the flat structure-of-arrays encoding of a document's tree
-// shape, built once at finish() time. All slices are indexed by the node's
-// document-order (pre) index and are immutable after construction, so they
-// are safe for any number of concurrent readers.
+// shape, built once when the document is finished. All slices are indexed by
+// the node's document-order (pre) index and are immutable after
+// construction, so they are safe for any number of concurrent readers.
 //
 // The encoding exploits that a preorder numbering makes every subtree a
 // contiguous pre range: node p's descendants are exactly the pre indexes
-// [p+1, SubEnd[p]). The set-at-a-time axis kernels of internal/axes run
-// over these arrays and over raw bitset words instead of pointer-chasing
-// Parent()/Children(), which is where their constant factor comes from.
+// [p+1, SubEnd[p]). The same argument makes the subtree's character data a
+// contiguous range [TextStart[p], TextEnd[p]) of the document's text column.
+// The set-at-a-time axis kernels of internal/axes run over these arrays and
+// over raw bitset words, which is where their constant factor comes from.
 type Topology struct {
 	// Parent[p] is the pre index of p's parent, or -1 for the document root.
 	Parent []int32
@@ -27,6 +28,9 @@ type Topology struct {
 	// LabelID[p] identifies the node's label in the document's label table
 	// (Document.LabelCount/LabelByID); the root's empty label has an ID too.
 	LabelID []int32
+	// TextStart[p] and TextEnd[p] delimit strval(p) in the document's text
+	// column: the character data between p's start and end tags.
+	TextStart, TextEnd []int32
 	// KidOff/KidList encode the children lists in CSR form: the children of
 	// node p, in sibling order, are KidList[KidOff[p]:KidOff[p+1]].
 	// len(KidOff) == NumNodes()+1.
@@ -49,81 +53,8 @@ func (t *Topology) Kids(p int32) []int32 {
 // axis-kernel working set, so the observability layer reports it).
 func (t *Topology) Bytes() int64 {
 	return 4 * int64(len(t.Parent)+len(t.Start)+len(t.End)+len(t.Level)+
-		len(t.SibIdx)+len(t.SubEnd)+len(t.LabelID)+len(t.KidOff)+len(t.KidList))
-}
-
-// buildTopology fills d.topo and the label table from the finished node
-// slice. Called exactly once, by finish, after pre/start/end/level/sibIdx
-// have been assigned.
-func (d *Document) buildTopology() {
-	n := len(d.nodes)
-	t := &d.topo
-	// One backing array for the seven per-node columns keeps them adjacent.
-	backing := make([]int32, 7*n)
-	t.Parent, backing = backing[:n:n], backing[n:]
-	t.Start, backing = backing[:n:n], backing[n:]
-	t.End, backing = backing[:n:n], backing[n:]
-	t.Level, backing = backing[:n:n], backing[n:]
-	t.SibIdx, backing = backing[:n:n], backing[n:]
-	t.SubEnd, backing = backing[:n:n], backing[n:]
-	t.LabelID = backing[:n:n]
-	t.KidOff = make([]int32, n+1)
-	t.KidList = make([]int32, n-1) // every node but the root is some child
-
-	d.labelIDs = make(map[string]int32)
-	for pre, nd := range d.nodes {
-		if p := nd.parent; p != nil {
-			t.Parent[pre] = int32(p.pre)
-		} else {
-			t.Parent[pre] = -1
-		}
-		t.Start[pre] = int32(nd.start)
-		t.End[pre] = int32(nd.end)
-		t.Level[pre] = int32(nd.level)
-		t.SibIdx[pre] = int32(nd.sibIdx)
-		t.KidOff[pre+1] = t.KidOff[pre] + int32(len(nd.kids))
-
-		// Always-on per-document label interning: every node's label string
-		// is replaced by the canonical first occurrence, so equal labels are
-		// pointer-equal within the document and each label gets a dense ID.
-		id, ok := d.labelIDs[nd.label]
-		if !ok {
-			id = int32(len(d.labels))
-			d.labelIDs[nd.label] = id
-			d.labels = append(d.labels, nd.label)
-		}
-		nd.label = d.labels[id]
-		t.LabelID[pre] = id
-	}
-	for pre, nd := range d.nodes {
-		row := t.KidList[t.KidOff[pre]:t.KidOff[pre+1]]
-		for i, k := range nd.kids {
-			row[i] = int32(k.pre)
-		}
-	}
-	// SubEnd in reverse preorder: a leaf's subtree is [p, p+1); otherwise it
-	// ends where the last child's subtree ends (children have higher pre, so
-	// they are already done when their parent is reached).
-	for pre := n - 1; pre >= 0; pre-- {
-		if t.KidOff[pre] == t.KidOff[pre+1] {
-			t.SubEnd[pre] = int32(pre + 1)
-		} else {
-			t.SubEnd[pre] = t.SubEnd[t.KidList[t.KidOff[pre+1]-1]]
-		}
-	}
-
-	// Per-labelID bitsets, aligned with the label table; shared with the
-	// byLabel map so LabelSet keeps returning the same canonical sets.
-	d.labelSets = make([]*Set, len(d.labels))
-	for id, label := range d.labels {
-		if s, ok := d.byLabel[label]; ok {
-			d.labelSets[id] = s
-		} else {
-			// The root's empty label (and any label only the root carries)
-			// has no T(t) set; node tests never match the root by name.
-			d.labelSets[id] = d.emptySet
-		}
-	}
+		len(t.SibIdx)+len(t.SubEnd)+len(t.LabelID)+len(t.TextStart)+
+		len(t.TextEnd)+len(t.KidOff)+len(t.KidList))
 }
 
 // LabelCount returns the number of distinct labels in the document

@@ -52,7 +52,7 @@ func TestTopologyMatchesNodes(t *testing.T) {
 		if got, want := len(topo.KidOff), doc.NumNodes()+1; got != want {
 			t.Fatalf("seed %d: len(KidOff) = %d, want %d", seed, got, want)
 		}
-		for _, n := range doc.Nodes() {
+		for _, n := range doc.AllNodes().Nodes() {
 			pre := n.Pre()
 			wantParent := int32(-1)
 			if p := n.Parent(); p != nil {
@@ -79,7 +79,7 @@ func TestTopologyMatchesNodes(t *testing.T) {
 			}
 			// SubEnd: the subtree [pre, SubEnd) must hold exactly the nodes
 			// with start/end nested inside n's events.
-			for _, m := range doc.Nodes() {
+			for _, m := range doc.AllNodes().Nodes() {
 				inRange := m.Pre() >= pre && m.Pre() < int(topo.SubEnd[pre])
 				inSubtree := m == n || m.IsDescendantOf(n)
 				if inRange != inSubtree {
@@ -218,7 +218,7 @@ func TestLabelTableCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bs []*Node
-	for _, n := range doc.Nodes() {
+	for _, n := range doc.AllNodes().Nodes() {
 		if n.Label() == "b" {
 			bs = append(bs, n)
 		}

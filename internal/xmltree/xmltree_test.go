@@ -1,9 +1,12 @@
 package xmltree
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -43,7 +46,7 @@ func TestParseBasicShape(t *testing.T) {
 func TestDocumentOrder(t *testing.T) {
 	d := mustParse(t, sample)
 	wantIDs := []string{"10", "11", "12", "13", "14", "21", "22", "23", "24"}
-	for i, n := range d.Nodes()[1:] {
+	for i, n := range d.AllNodes().Nodes()[1:] {
 		id, _ := n.Attr("id")
 		if id != wantIDs[i] {
 			t.Errorf("node %d: id %s, want %s", i+1, id, wantIDs[i])
@@ -180,9 +183,11 @@ func TestBuilderErrors(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{``, `<a>`, `<a></b>`, `text only`} {
-		if _, err := ParseString(bad); err == nil {
-			t.Errorf("ParseString(%q) should fail", bad)
+	for _, bad := range []string{``, `<a>`, `<a></b>`, `text only`, `<a/><b/>`,
+		// Dropping the prefix would leave a local name that is no XML name.
+		`<p:a xmlns:p="u" p:0="0"/>`, `<p:0/>`} {
+		if _, err := ParseString(bad); !errors.Is(err, ErrMalformed) {
+			t.Errorf("ParseString(%q) = %v, want an ErrMalformed error", bad, err)
 		}
 	}
 }
@@ -193,8 +198,8 @@ func TestXMLRoundTrip(t *testing.T) {
 	if again.Size() != d.Size() {
 		t.Fatalf("round trip changed size: %d vs %d", again.Size(), d.Size())
 	}
-	for i := range d.Nodes() {
-		a, b := d.Nodes()[i], again.Nodes()[i]
+	for i := range d.AllNodes().Nodes() {
+		a, b := d.AllNodes().Nodes()[i], again.AllNodes().Nodes()[i]
 		if a.Label() != b.Label() || a.StringValue() != b.StringValue() {
 			t.Errorf("node %d differs after round trip", i)
 		}
@@ -341,7 +346,7 @@ func TestQuickSetUnionCommutes(t *testing.T) {
 func TestQuickPrePostConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		d := buildRandomDoc(seed, 30)
-		nodes := d.Nodes()
+		nodes := d.AllNodes().Nodes()
 		for _, x := range nodes {
 			for _, y := range nodes {
 				rels := 0
@@ -373,23 +378,39 @@ func TestQuickPrePostConsistency(t *testing.T) {
 }
 
 // TestQuickStringValueConcat: strval(n) equals the concatenation of the
-// text under n in document order, checked against a reference
-// serialization-based computation.
+// text under n in document order, checked against a reference computed
+// from a shadow tree recorded alongside the builder calls.
 func TestQuickStringValueConcat(t *testing.T) {
+	// shadow mirrors one element: its content in order, each entry either
+	// a text piece or (child >= 0) the pre index of a child element.
+	type piece struct {
+		text  string
+		child int
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		content := [][]piece{nil, nil} // root, r
+		content[0] = []piece{{child: 1}}
+		open := []int{1}
 		b := NewBuilder()
 		b.Start("r")
 		for b.Count() < 20 {
+			top := open[len(open)-1]
 			switch rng.Intn(4) {
 			case 0:
 				if b.Depth() > 1 {
 					_ = b.End()
+					open = open[:len(open)-1]
 				}
 			case 1:
-				b.Text([]string{"x", "10", " ", "zz"}[rng.Intn(4)])
+				s := []string{"x", "10", " ", "zz"}[rng.Intn(4)]
+				b.Text(s)
+				content[top] = append(content[top], piece{text: s, child: -1})
 			default:
 				b.Start("e")
+				content[top] = append(content[top], piece{child: len(content)})
+				open = append(open, len(content))
+				content = append(content, nil)
 			}
 		}
 		for b.Depth() > 0 {
@@ -399,21 +420,20 @@ func TestQuickStringValueConcat(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Reference: strip tags from the serialization of each subtree.
-		for _, n := range d.Nodes() {
-			var ref strings.Builder
-			var walk func(*Node)
-			walk = func(m *Node) {
-				for _, seg := range segmentsOf(m) {
-					if seg.child != nil {
-						walk(seg.child)
-					} else {
-						ref.WriteString(seg.text)
-					}
+		var ref func(p int, sb *strings.Builder)
+		ref = func(p int, sb *strings.Builder) {
+			for _, pc := range content[p] {
+				if pc.child >= 0 {
+					ref(pc.child, sb)
+				} else {
+					sb.WriteString(pc.text)
 				}
 			}
-			walk(n)
-			if n.StringValue() != ref.String() {
+		}
+		for p := range content {
+			var sb strings.Builder
+			ref(p, &sb)
+			if d.Node(p).StringValue() != sb.String() {
 				return false
 			}
 		}
@@ -424,5 +444,35 @@ func TestQuickStringValueConcat(t *testing.T) {
 	}
 }
 
-// segmentsOf exposes the segment list to the white-box property test.
-func segmentsOf(n *Node) []segment { return n.segments }
+// TestIDIndexFirstWinsAndConcurrentFirstUse: the id index is built on the
+// first lookup; concurrent first lookups agree, and of several nodes
+// sharing an id value the first in document order wins.
+func TestIDIndexFirstWinsAndConcurrentFirstUse(t *testing.T) {
+	d := mustParse(t, `<a id="z"><b id="y" id="x"/><c id="y"/><d id="10"/><e id="9"/><f id="z"/></a>`)
+	want := map[string]int{"z": 1, "y": 2, "x": -1, "10": 4, "9": 5, "nope": -1}
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for key, pre := range want {
+				got := -1
+				if n := d.ByID(key); n != nil {
+					got = n.Pre()
+				}
+				if got != pre {
+					errs <- fmt.Sprintf("ByID(%q) = node %d, want %d", key, got, pre)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if got := d.DerefIDs("9 z y z").String(); got != d.DerefIDs("y 9 z").String() {
+		t.Errorf("DerefIDs order-dependent: %s", got)
+	}
+}

@@ -187,10 +187,10 @@ func ParseDocument(r io.Reader) (*Document, error) {
 }
 
 // ParseLimits bounds document ingest against adversarial XML: a nesting
-// depth cap (deep documents would otherwise overflow the stack of the
-// recursive index builder — a fatal crash, not a recoverable panic) and a
-// node count cap bounding ingest memory. Zero or negative fields impose no
-// corresponding limit.
+// depth cap and a node count cap bounding ingest memory. Building and
+// serializing a document are flat passes over its nodes, so depth costs no
+// stack; the depth cap is an input bound, as real documents nest tens of
+// levels. Zero or negative fields impose no corresponding limit.
 type ParseLimits = xmltree.Limits
 
 // DefaultParseLimits returns the bounds ParseDocument, ParseDocumentString
